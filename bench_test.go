@@ -14,7 +14,6 @@ package freezetag_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -534,48 +533,6 @@ func BenchmarkMetric_Dist(b *testing.B) {
 }
 
 var benchSink float64
-
-// BenchmarkMetric_DistBatch prices one distance through geom.DistBatch at
-// several block sizes, against the per-call Dist loop over the same block
-// (the "percall" rows). Reported ns/op is per point, so a row is directly
-// comparable with its percall twin and with BenchmarkMetric_Dist. The
-// ≥ 64-point blocks are the scan-consumer regime (grid cells, Borůvka
-// rings, ρ* cells); the acceptance target is batch ≥ 2× percall for lp:3
-// there.
-func BenchmarkMetric_DistBatch(b *testing.B) {
-	lp3, err := geom.Lp(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, 1024)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
-	}
-	origin := geom.Pt(50, 50)
-	out := make([]float64, len(pts))
-	for _, m := range []geom.Metric{geom.L1, geom.L2, geom.LInf, lp3} {
-		for _, block := range []int{16, 64, 256, 1024} {
-			b.Run(fmt.Sprintf("%s/batch%d", m.Name(), block), func(b *testing.B) {
-				blk := pts[:block]
-				b.SetBytes(0)
-				for i := 0; i < b.N; i += block {
-					geom.DistBatch(m, origin, blk, out)
-				}
-				benchSink = out[0]
-			})
-			b.Run(fmt.Sprintf("%s/percall%d", m.Name(), block), func(b *testing.B) {
-				blk := pts[:block]
-				for i := 0; i < b.N; i += block {
-					for j, q := range blk {
-						out[j] = m.Dist(origin, q)
-					}
-				}
-				benchSink = out[0]
-			})
-		}
-	}
-}
 
 // BenchmarkEndToEnd_AGrid_Walk32_Metrics prices a full AGrid solve per
 // metric: the per-metric cost of the abstraction on the sim hot path (the

@@ -2,8 +2,6 @@ package diskgraph
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"freezetag/internal/geom"
 )
@@ -29,21 +27,14 @@ type cellIndex struct {
 	nx, ny int
 	start  []int32
 	ids    []int32
-	// cpts is pts[ids[j]] copied into CSR order, so batch cell scans hand a
-	// contiguous point block straight to geom.DistBatch. It is built only
-	// under batch-accelerated metrics: for plain per-point metrics the copy
-	// is dead weight — an extra point array's worth of cache footprint that
-	// measurably slows the ℓ2 grid-Borůvka path.
-	cpts   []geom.Point
 	cx, cy []int32 // per-vertex cell coordinates
-	batch  bool    // geom.BatchAccelerated(metric): big cells go through DistBatch
 }
 
 // newCellIndex buckets pts into cells of the given size. The caller
 // guarantees finite coordinates and a positive cell.
-func newCellIndex(m geom.Metric, pts []geom.Point, minX, minY, cell float64) *cellIndex {
+func newCellIndex(pts []geom.Point, minX, minY, cell float64) *cellIndex {
 	n := len(pts)
-	ci := &cellIndex{cell: cell, batch: geom.BatchAccelerated(m), cx: make([]int32, n), cy: make([]int32, n)}
+	ci := &cellIndex{cell: cell, cx: make([]int32, n), cy: make([]int32, n)}
 	for i, p := range pts {
 		// Division rounding can nudge an on-boundary coordinate a hair
 		// negative; clamp to keep the lattice non-negative.
@@ -61,17 +52,11 @@ func newCellIndex(m geom.Metric, pts []geom.Point, minX, minY, cell float64) *ce
 		ci.start[c] += ci.start[c-1]
 	}
 	ci.ids = make([]int32, n)
-	if ci.batch {
-		ci.cpts = make([]geom.Point, n)
-	}
 	fill := make([]int32, ci.nx*ci.ny)
 	for i := range pts {
 		c := int(ci.cx[i])*ci.ny + int(ci.cy[i])
 		j := ci.start[c] + fill[c]
 		ci.ids[j] = int32(i)
-		if ci.batch {
-			ci.cpts[j] = pts[i]
-		}
 		fill[c]++
 	}
 	return ci
@@ -83,81 +68,20 @@ type ringSearch struct {
 	bestTo []int32   // its vertex, -1 if none
 }
 
-// cellBatchMin is the cell population below which a scan stays on the
-// per-point Dist loop; smaller blocks don't amortize the batch kernel's
-// dispatch. Both paths fold the same distances in the same order, so the
-// choice never changes a result bit.
-const cellBatchMin = 8
-
-// scanScratch is one worker's reusable phase-B buffers: the pending-member
-// list plus the distance block filled by geom.DistBatch. Each worker owns
-// its scratch exclusively, so batching stays race-free at any pool size.
-type scanScratch struct {
-	active []int32
-	dists  []float64
-}
-
-// ensure grows the distance buffer to hold n entries.
-func (sc *scanScratch) ensure(n int) {
-	if cap(sc.dists) < n {
-		sc.dists = make([]float64, n+n/2+8)
-	}
-}
-
 // scanCell scans one cell for vertices foreign to root rv, updating v's
 // best candidate. root is the per-vertex root snapshot of the current round
 // — the union-find is only mutated between rounds, so a flat array load
 // replaces a find per scanned vertex on the hottest loop in the pass.
-// Under a batch-accelerated metric (the ℓp integer family), big cells hand
-// their whole contiguous point block to geom.DistBatch and fold the result;
-// the fold visits foreign members in cell order, exactly the order the
-// per-point loop compares in, and DistBatch is bit-identical to Dist, so
-// the candidate (and every subsequent merge decision) is unchanged.
-func (ci *cellIndex) scanCell(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, x, y int, rs *ringSearch, sc *scanScratch) {
+func (ci *cellIndex) scanCell(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, x, y int, rs *ringSearch) {
 	base := x*ci.ny + y
-	s, e := ci.start[base], ci.start[base+1]
 	p := pts[v]
 	bestD, bestTo := rs.bestD[v], rs.bestTo[v]
-	ids := ci.ids[s:e]
-	if !ci.batch {
-		// Per-point metric: exactly the pre-batch scan (no cpts copy even
-		// exists in this mode — see newCellIndex).
-		for _, id := range ids {
-			if root[id] == rv {
-				continue // same component (or v itself)
-			}
-			if d := m.Dist(pts[id], p); d < bestD {
-				bestD, bestTo = d, id
-			}
-		}
-		rs.bestD[v], rs.bestTo[v] = bestD, bestTo
-		return
-	}
-	cpts := ci.cpts[s:e]
-	if len(ids) < cellBatchMin {
-		// Near-empty cell: a batch round-trip through the distance buffer
-		// costs more than the per-point calls it saves. Same bits either
-		// way — cpts[i] is pts[ids[i]] by construction.
-		for i, id := range ids {
-			if root[id] == rv {
-				continue // same component (or v itself)
-			}
-			if d := m.Dist(cpts[i], p); d < bestD {
-				bestD, bestTo = d, id
-			}
-		}
-		rs.bestD[v], rs.bestTo[v] = bestD, bestTo
-		return
-	}
-	sc.ensure(len(ids))
-	d := sc.dists[:len(ids)]
-	geom.DistBatch(m, p, cpts, d)
-	for i, id := range ids {
+	for _, id := range ci.ids[ci.start[base]:ci.start[base+1]] {
 		if root[id] == rv {
-			continue // same component (or v itself); its distance is unused
+			continue // same component (or v itself)
 		}
-		if dd := d[i]; dd < bestD {
-			bestD, bestTo = dd, id
+		if d := m.Dist(pts[id], p); d < bestD {
+			bestD, bestTo = d, id
 		}
 	}
 	rs.bestD[v], rs.bestTo[v] = bestD, bestTo
@@ -166,22 +90,22 @@ func (ci *cellIndex) scanCell(m geom.Metric, pts []geom.Point, root []int32, rv 
 // scanRing scans the perimeter cells of the given ring around vertex v;
 // done reports that the ring already covers the whole lattice, i.e. v has
 // seen every vertex.
-func (ci *cellIndex) scanRing(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, ring int, rs *ringSearch, sc *scanScratch) (done bool) {
+func (ci *cellIndex) scanRing(m geom.Metric, pts []geom.Point, root []int32, rv int32, v, ring int, rs *ringSearch) (done bool) {
 	cx, cy := int(ci.cx[v]), int(ci.cy[v])
 	x0, x1 := cx-ring, cx+ring
 	y0, y1 := cy-ring, cy+ring
 	for x := max(x0, 0); x <= min(x1, ci.nx-1); x++ {
 		if x == x0 || x == x1 {
 			for y := max(y0, 0); y <= min(y1, ci.ny-1); y++ {
-				ci.scanCell(m, pts, root, rv, v, x, y, rs, sc)
+				ci.scanCell(m, pts, root, rv, v, x, y, rs)
 			}
 			continue
 		}
 		if y0 >= 0 { // interior column: perimeter rows only
-			ci.scanCell(m, pts, root, rv, v, x, y0, rs, sc)
+			ci.scanCell(m, pts, root, rv, v, x, y0, rs)
 		}
 		if y1 != y0 && y1 <= ci.ny-1 {
-			ci.scanCell(m, pts, root, rv, v, x, y1, rs, sc)
+			ci.scanCell(m, pts, root, rv, v, x, y1, rs)
 		}
 	}
 	return x0 <= 0 && y0 <= 0 && x1 >= ci.nx-1 && y1 >= ci.ny-1
@@ -213,15 +137,6 @@ func (ci *cellIndex) scanRing(m geom.Metric, pts []geom.Point, root []int32, rv 
 // component already holds, so the per-component minimum — and therefore
 // the bottleneck — is unaffected. Rounds at least halve the component
 // count, giving near-linear total work for well-conditioned sets.
-//
-// The per-component searches are mutually independent — every slot a
-// search writes (rs.best*, cand*, noneWithin by vertex; min* by root) is
-// owned by exactly one component this round, and root/head/next/uf are
-// read-only during phase B — so they fan out over a worker pool in the
-// experiments-runner style. The merge step stays sequential, and the
-// result is bit-identical at any worker count: each component's search
-// runs the exact serial scan order internally, and components never read
-// each other's state.
 func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64) float64 {
 	n := len(pts)
 	uf := newUnionFind(n)
@@ -230,7 +145,7 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 	st := &boruvkaState{
 		m:          m,
 		pts:        pts,
-		ci:         newCellIndex(m, pts, minX, minY, cell),
+		ci:         newCellIndex(pts, minX, minY, cell),
 		candTo:     make([]int32, n),
 		candD:      make([]float64, n),
 		noneWithin: make([]float64, n),
@@ -241,9 +156,9 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 		next:       make([]int32, n),
 		root:       make([]int32, n),
 		rs:         ringSearch{bestD: make([]float64, n), bestTo: make([]int32, n)},
+		active:     make([]int32, 0, 64),
 	}
 	pendingRoots := make([]int32, 0, 16)
-	serialSc := &scanScratch{active: make([]int32, 0, 64)}
 	for i := range st.candTo {
 		st.candTo[i] = -1
 	}
@@ -259,7 +174,6 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 		}
 		// Phase A.
 		pendingRoots = pendingRoots[:0]
-		pendingVerts := 0
 		for v := 0; v < n; v++ {
 			rv := st.root[v]
 			if to := st.candTo[v]; to >= 0 {
@@ -279,31 +193,10 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 			}
 			st.next[v] = st.head[rv]
 			st.head[rv] = int32(v)
-			pendingVerts++
 		}
 		// Phase B.
-		if workers := phaseBWorkers(len(pendingRoots), pendingVerts); workers > 1 {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					sc := &scanScratch{active: make([]int32, 0, 64)}
-					for i := range idx {
-						st.searchComponent(pendingRoots[i], sc)
-					}
-				}()
-			}
-			for i := range pendingRoots {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-		} else {
-			for _, rv := range pendingRoots {
-				st.searchComponent(rv, serialSc)
-			}
+		for _, rv := range pendingRoots {
+			st.searchComponent(rv)
 		}
 		// Merge every component along its recorded cheapest outgoing edge.
 		merged := false
@@ -326,11 +219,8 @@ func bottleneckGridIn(m geom.Metric, pts []geom.Point, minX, minY, cell float64)
 	return bottleneck
 }
 
-// boruvkaState is the shared round state of bottleneckGridIn, grouped so
-// the per-component phase-B searches can run as methods from pool workers.
-// Slices indexed by vertex (candTo, candD, noneWithin, rs.best*) or by root
-// (minD, minFrom, minTo) are written only for vertices/roots of the
-// component being searched, which is what makes concurrent searches safe.
+// boruvkaState is the round state of bottleneckGridIn, grouped so the
+// per-component phase-B searches can run as methods.
 type boruvkaState struct {
 	m   geom.Metric
 	pts []geom.Point
@@ -346,42 +236,15 @@ type boruvkaState struct {
 	next       []int32
 	root       []int32 // per-vertex root snapshot of the current round
 	rs         ringSearch
-}
-
-// phaseBWorkersOverride, when positive, pins the phase-B pool size; tests
-// use it to exercise the parallel path on single-core runners and to check
-// bit-identity across worker counts.
-var phaseBWorkersOverride = 0
-
-// parallelPhaseBMinVerts is the pending-vertex count below which a round's
-// phase B stays serial: tiny rounds (the common tail, where almost every
-// candidate survived phase A) would pay more in goroutine handoff than the
-// searches cost. Purely a performance dispatch — serial and parallel
-// searches write identical values.
-const parallelPhaseBMinVerts = 256
-
-// phaseBWorkers sizes the phase-B pool for a round with the given pending
-// component and vertex counts.
-func phaseBWorkers(roots, verts int) int {
-	w := runtime.GOMAXPROCS(0)
-	if phaseBWorkersOverride > 0 {
-		w = phaseBWorkersOverride
-	} else if verts < parallelPhaseBMinVerts {
-		return 1
-	}
-	if w > roots {
-		w = roots
-	}
-	return w
+	active     []int32 // phase-B scratch: the searching component's members
 }
 
 // searchComponent runs one component's ring-synchronized phase-B search:
 // every pending member expands one cell ring at a time, sharing the
-// component's best outgoing weight as the prune bound. sc is the calling
-// worker's private scratch.
-func (st *boruvkaState) searchComponent(rv int32, sc *scanScratch) {
+// component's best outgoing weight as the prune bound.
+func (st *boruvkaState) searchComponent(rv int32) {
 	r := int(rv)
-	active := sc.active[:0]
+	active := st.active[:0]
 	for v := st.head[r]; v >= 0; v = st.next[v] {
 		if st.noneWithin[v] >= st.minD[r] && !math.IsInf(st.minD[r], 1) {
 			// v's foreign-distance floor already matches the component's
@@ -412,7 +275,7 @@ func (st *boruvkaState) searchComponent(rv int32, sc *scanScratch) {
 		certified := float64(ring) * st.ci.cell * ringSafety
 		keep := active[:0]
 		for _, v := range active {
-			done := st.ci.scanRing(st.m, st.pts, st.root, rv, int(v), ring, &st.rs, sc)
+			done := st.ci.scanRing(st.m, st.pts, st.root, rv, int(v), ring, &st.rs)
 			if d := st.rs.bestD[v]; d < bound {
 				bound = d
 			}
@@ -431,7 +294,7 @@ func (st *boruvkaState) searchComponent(rv int32, sc *scanScratch) {
 		}
 		active = keep
 	}
-	sc.active = active[:0]
+	st.active = active[:0]
 }
 
 // unionFind is a plain disjoint-set forest with path halving and union by

@@ -134,32 +134,6 @@ func TestComputeParamsSharedDerivationExact(t *testing.T) {
 	}
 }
 
-// The phase-B worker pool must return bit-identical thresholds at every
-// pool size — including on single-core runners where GOMAXPROCS alone
-// would never exercise the parallel branch. Run with -race, this is also
-// the data-race check on the per-component slot-disjointness argument.
-func TestConnectivityThresholdGridParallelMatchesSerial(t *testing.T) {
-	defer func() { phaseBWorkersOverride = 0 }()
-	rng := rand.New(rand.NewSource(53))
-	for _, m := range gridOracleMetrics(t) {
-		for trial, pts := range bottleneckInstances(rng) {
-			if len(pts) <= denseBottleneckCutoff {
-				continue // dense dispatch: no phase B to parallelize
-			}
-			src := geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5)
-			phaseBWorkersOverride = 0
-			want := ConnectivityThresholdIn(m, src, pts)
-			for _, workers := range []int{1, 2, 3, 8} {
-				phaseBWorkersOverride = workers
-				if got := ConnectivityThresholdIn(m, src, pts); got != want {
-					t.Errorf("%s instance %d (n=%d) workers=%d: ℓ* = %x, serial ℓ* = %x",
-						m.Name(), trial, len(pts), workers, got, want)
-				}
-			}
-		}
-	}
-}
-
 // Coincident and degenerate inputs must keep the dense pass's exact
 // behavior through the dispatch.
 func TestConnectivityThresholdGridDegenerate(t *testing.T) {

@@ -51,22 +51,6 @@ func bucketPts(pts []Point, cell float64) map[[2]int][]int32 {
 	return buckets
 }
 
-// bucketPoints buckets the points themselves — the farthest-point scan never
-// needs indices, and contiguous per-cell blocks are what lets it scan
-// sequentially and feed whole cells to DistBatch.
-func bucketPoints(pts []Point, cell float64) map[[2]int][]Point {
-	buckets := make(map[[2]int][]Point, len(pts))
-	for _, p := range pts {
-		k := [2]int{int(math.Floor(p.X / cell)), int(math.Floor(p.Y / cell))}
-		buckets[k] = append(buckets[k], p)
-	}
-	return buckets
-}
-
-// scanBatchMin is the cell population below which the farthest-point scan
-// stays per-point; both paths fold identical bits in identical order.
-const scanBatchMin = 8
-
 // MinPairDistGridIn is MinPairDistIn accelerated with cell bucketing:
 // near-linear for well-spread sets instead of O(n²), and exactly equal to
 // the dense scan (same float64). Every supported metric dominates Chebyshev,
@@ -158,7 +142,7 @@ func MaxDistFromGridIn(m Metric, o Point, pts []Point) float64 {
 		return m.Dist(o, pts[0])
 	}
 	cell := ext / math.Sqrt(float64(len(pts)))
-	buckets := bucketPoints(pts, cell)
+	buckets := bucketPts(pts, cell)
 	type cellBound struct {
 		key   [2]int
 		bound float64
@@ -174,29 +158,13 @@ func MaxDistFromGridIn(m Metric, o Point, pts []Point) float64 {
 		bounds = append(bounds, cellBound{key: k, bound: b * scanBoundMargin})
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i].bound > bounds[j].bound })
-	batch := BatchAccelerated(m)
-	var dists []float64
 	var best float64
 	for _, cb := range bounds {
 		if cb.bound <= best {
 			break // no remaining cell can contain a farther point
 		}
-		cp := buckets[cb.key]
-		if batch && len(cp) >= scanBatchMin {
-			if cap(dists) < len(cp) {
-				dists = make([]float64, len(cp)+len(cp)/2)
-			}
-			d := dists[:len(cp)]
-			DistBatch(m, o, cp, d)
-			for _, dd := range d {
-				if dd > best {
-					best = dd
-				}
-			}
-			continue
-		}
-		for _, q := range cp {
-			if d := m.Dist(o, q); d > best {
+		for _, j := range buckets[cb.key] {
+			if d := m.Dist(o, pts[j]); d > best {
 				best = d
 			}
 		}

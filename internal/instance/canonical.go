@@ -117,6 +117,12 @@ func HashRequest(algorithm string, in *Instance, ell, rho float64, n int, budget
 	return HashRequestIn(nil, algorithm, in, ell, rho, n, budget)
 }
 
+// canonBufPool recycles the canonical-encoding scratch across requests. The
+// encoding is built fully in one buffer and hashed with sha256.Sum256 (stack
+// digest, stack sum), so a steady request stream pays exactly one allocation
+// per hash: the returned hex string itself.
+var canonBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
 // HashRequestIn is HashRequest under metric m (nil defaults to ℓ2). The ℓ2
 // metric — canonical name "l2", or a nil/omitted metric — produces the
 // pre-metric v1 encoding byte-for-byte, so existing cache keys survive; any
@@ -125,12 +131,6 @@ func HashRequest(algorithm string, in *Instance, ell, rho float64, n int, budget
 // an explicit metric line (ℓ2 included) and the profile lines appended by
 // appendCanonical; they can never alias a homogeneous hash because the
 // version line differs.
-// canonBufPool recycles the canonical-encoding scratch across requests. The
-// encoding is built fully in one buffer and hashed with sha256.Sum256 (stack
-// digest, stack sum), so a steady request stream pays exactly one allocation
-// per hash: the returned hex string itself.
-var canonBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
 func HashRequestIn(m geom.Metric, algorithm string, in *Instance, ell, rho float64, n int, budget float64) string {
 	if budget <= 0 {
 		budget = 0

@@ -22,22 +22,18 @@ import (
 // dominates the Chebyshev distance (see geom.Metric).
 //
 // Cells store their members as parallel id/point slices, so query scans walk
-// contiguous points (and can hand whole cells to geom.DistBatch) instead of
-// chasing a map lookup per member. Cells are retained (empty) when their last
-// member leaves, so an item oscillating between two cells — the simulator's
-// move loop — allocates nothing in steady state.
+// contiguous points instead of chasing a map lookup per member. Cells are
+// retained (empty) when their last member leaves, so an item oscillating
+// between two cells — the simulator's move loop — allocates nothing in
+// steady state.
 //
 // Grid is not safe for concurrent use; the simulator serializes all access.
 type Grid struct {
 	cell   float64
 	metric geom.Metric
 	euclid bool // cached IsL2(metric): keeps the Dist2 fast path branch cheap
-	batch  bool // geom.BatchAccelerated(metric): big cells go through DistBatch
 	items  map[int]geom.Point
 	cells  map[[2]int]*gridCell
-	// dists is the DistBatch scratch for metric cell scans, grown to the
-	// largest cell ever scanned and reused across queries.
-	dists []float64
 	// Grow-only bounds of every cell that ever held an item: a constant-time
 	// upper bound on useful ring expansion in Nearest (stale-but-larger
 	// bounds only cost extra empty rings when no eligible item exists).
@@ -98,13 +94,6 @@ type gridCell struct {
 	pts []geom.Point
 }
 
-// batchScanMin is the cell population below which metric scans stay on the
-// per-point path even when the metric is batch-accelerated: DistBatch's
-// dispatch and staging don't pay for themselves on near-empty cells (the
-// simulator's look cells typically hold a handful of robots). Either path
-// produces identical bits; this is purely a knob.
-const batchScanMin = 8
-
 // NewGrid builds an empty Euclidean grid with the given cell size. The cell
 // size should be of the order of the most common query radius; it must be
 // positive.
@@ -131,16 +120,15 @@ func NewGridInCap(m geom.Metric, cellSize float64, n int) *Grid {
 		cell:   cellSize,
 		metric: metric,
 		euclid: geom.IsL2(metric),
-		batch:  geom.BatchAccelerated(metric),
 		items:  make(map[int]geom.Point, n),
 		cells:  make(map[[2]int]*gridCell, n),
 	}
 }
 
 // Reset empties the grid for reuse under metric m (nil defaults to ℓ2),
-// retaining all allocated storage: the item index, every cell's member
-// slices, and the batch scratch survive, so a simulation engine re-running
-// an instance of the same shape re-populates the grid without allocating.
+// retaining all allocated storage: the item index and every cell's member
+// slices survive, so a simulation engine re-running an instance of the same
+// shape re-populates the grid without allocating.
 // Cells left empty by Reset are harmless to queries — they are skipped like
 // any other empty cell — and their capacity is exactly what the next run of
 // the same shape needs.
@@ -148,7 +136,6 @@ func (g *Grid) Reset(m geom.Metric) {
 	metric := geom.MetricOrL2(m)
 	g.metric = metric
 	g.euclid = geom.IsL2(metric)
-	g.batch = geom.BatchAccelerated(metric)
 	clear(g.items)
 	for _, c := range g.cells {
 		c.ids = c.ids[:0]
@@ -230,21 +217,6 @@ func (g *Grid) At(id int) (geom.Point, bool) {
 	return p, ok
 }
 
-// cellDists fills g.dists with the metric distances from p to every member
-// of c via the batch kernel and returns the block.
-func (g *Grid) cellDists(p geom.Point, c *gridCell) []float64 {
-	if cap(g.dists) < len(c.pts) {
-		g.dists = make([]float64, len(c.pts)+lenSlack(len(c.pts)))
-	}
-	d := g.dists[:len(c.pts)]
-	geom.DistBatch(g.metric, p, c.pts, d)
-	return d
-}
-
-// lenSlack over-allocates scratch growth so a sequence of slightly-growing
-// cells settles after a few queries.
-func lenSlack(n int) int { return n/2 + 8 }
-
 // Within appends to dst the ids of all items within metric distance r of p
 // (closed ball, geom.Eps slack) and returns the extended slice. Results are
 // in unspecified order. The scanned cell range is the bounding square of the
@@ -258,15 +230,13 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 	minY := int(math.Floor((p.Y - r) / g.cell))
 	maxY := int(math.Floor((p.Y + r) / g.cell))
 	r2 := (r + geom.Eps) * (r + geom.Eps)
-	rEps := r + geom.Eps
 	for cx := minX; cx <= maxX; cx++ {
 		for cy := minY; cy <= maxY; cy++ {
 			c := g.cells[[2]int{cx, cy}]
 			if c == nil {
 				continue
 			}
-			switch {
-			case g.euclid:
+			if g.euclid {
 				// Squared-distance fast path, bit-identical to the
 				// pre-metric grid.
 				for i, q := range c.pts {
@@ -274,17 +244,11 @@ func (g *Grid) Within(dst []int, p geom.Point, r float64) []int {
 						dst = append(dst, c.ids[i])
 					}
 				}
-			case g.batch && len(c.pts) >= batchScanMin:
-				for i, d := range g.cellDists(p, c) {
-					if d <= rEps {
-						dst = append(dst, c.ids[i])
-					}
-				}
-			default:
-				for i, q := range c.pts {
-					if geom.WithinIn(g.metric, q, p, r) {
-						dst = append(dst, c.ids[i])
-					}
+				continue
+			}
+			for i, q := range c.pts {
+				if geom.WithinIn(g.metric, q, p, r) {
+					dst = append(dst, c.ids[i])
 				}
 			}
 		}
@@ -324,11 +288,6 @@ func (g *Grid) InRect(dst []int, r geom.Rect) []int {
 // boundary exceeds d (any item in ring k is at Chebyshev distance, hence at
 // metric distance, > (k−1)·cell); the ring count is additionally capped by
 // the grid's populated-cell bounds, so the loop always terminates.
-//
-// Populated cells hand their whole point block to the batch kernel; the
-// running minimum then folds over the block in index order, which is the
-// same comparison sequence as the per-point loop, so the winner (and its
-// exact distance bits) never depends on which path ran.
 func (g *Grid) Nearest(p geom.Point, skip func(id int) bool) (id int, dist float64, ok bool) {
 	if len(g.items) == 0 {
 		return 0, 0, false
@@ -347,18 +306,6 @@ func (g *Grid) Nearest(p geom.Point, skip func(id int) bool) (id int, dist float
 				}
 				c := g.cells[[2]int{cx, cy}]
 				if c == nil {
-					continue
-				}
-				if g.batch && len(c.pts) >= batchScanMin {
-					for i, d := range g.cellDists(p, c) {
-						if d < best {
-							id := c.ids[i]
-							if skip != nil && skip(id) {
-								continue
-							}
-							best, bestID, found = d, id, true
-						}
-					}
 					continue
 				}
 				for i, id := range c.ids {

@@ -13,7 +13,7 @@ import (
 // query — the ring/box pruning may only skip cells that provably cannot
 // contain a match.
 func TestGridWithinMatchesBruteForceUnderMetrics(t *testing.T) {
-	metrics := []geom.Metric{geom.L1, geom.LInf, mustLp(t, 2.5)}
+	metrics := []geom.Metric{geom.L1, geom.LInf, mustLp(t, 2.5), mustLp(t, 3)}
 	for _, m := range metrics {
 		t.Run(m.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
@@ -50,7 +50,7 @@ func TestGridWithinMatchesBruteForceUnderMetrics(t *testing.T) {
 }
 
 func TestGridNearestMatchesBruteForceUnderMetrics(t *testing.T) {
-	for _, m := range []geom.Metric{geom.L1, geom.LInf} {
+	for _, m := range []geom.Metric{geom.L1, geom.LInf, mustLp(t, 2.5), mustLp(t, 3)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			g := NewGridIn(m, 1.5)
