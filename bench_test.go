@@ -204,6 +204,7 @@ func BenchmarkSim_MoveLookCycle(b *testing.B) {
 	for i := range sleepers {
 		sleepers[i] = geom.Pt(rng.Float64()*20, rng.Float64()*20)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine(sim.Config{Source: geom.Origin, Sleepers: sleepers})

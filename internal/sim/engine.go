@@ -114,10 +114,9 @@ type Engine struct {
 	// engines (NewEngine) keep the one-shot lifecycle: spawn, run, discard.
 	pooled   bool
 	procFree []*Proc
-	// sight backs every Look snapshot of the run; energyBuf backs
-	// Result.EnergyByRobot. Both are invalidated by Reset, which is safe
-	// because nothing built from a pooled run may outlive its job.
-	sight     arena.Slab[Sighting]
+	// energyBuf backs Result.EnergyByRobot. It is invalidated by Reset,
+	// which is safe because nothing built from a pooled run may outlive its
+	// job.
 	energyBuf []float64
 	// scratch holds per-algorithm reusable state keyed by algorithm name
 	// (see ScratchOf); values implementing RunScratch rewind on Reset.
@@ -265,9 +264,9 @@ func newEngine(cfg Config, pooled bool) *Engine {
 // NewEngineIn returns an engine backed by the worker arena a: the first call
 // builds a pooled engine and stashes it; later calls reset that engine
 // against the new configuration, so the whole simulation substrate — robot
-// block, spatial grids, event heap, process goroutines, algorithm scratch —
-// is reused across the jobs of one worker. A nil arena falls back to a
-// fresh one-shot NewEngine.
+// block, spatial grids, event heap, process goroutines with their Look
+// buffers, algorithm scratch — is reused across the jobs of one worker. A
+// nil arena falls back to a fresh one-shot NewEngine.
 func NewEngineIn(a *arena.Arena, cfg Config) *Engine {
 	if a == nil {
 		return NewEngine(cfg)
@@ -345,10 +344,10 @@ func (e *Engine) populate(cfg Config) {
 
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
 // piece of run-sized storage: the robot block, both spatial grids, the event
-// heap, the Look slab, and all algorithm scratch (values implementing
-// RunScratch are rewound). The idle process-goroutine pool survives. Every
-// slice handed out by the previous run (Look snapshots, EnergyByRobot) is
-// invalidated.
+// heap, and all algorithm scratch (values implementing RunScratch are
+// rewound). The idle process-goroutine pool survives, each process keeping
+// its Look buffer. Every slice handed out by the previous run (Look
+// snapshots, EnergyByRobot) is invalidated.
 func (e *Engine) Reset(cfg Config) {
 	if !e.pooled {
 		panic("sim: Reset on a non-pooled engine")
@@ -367,7 +366,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.lastWake = 0
 	e.violations = e.violations[:0]
 	e.running = false
-	e.sight.Reset()
 	e.faults = nil
 	e.wakeRand = nil
 	e.fstats = FaultStats{}

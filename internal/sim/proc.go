@@ -17,6 +17,10 @@ type Proc struct {
 	killed bool    // set by the engine to unwind a deadlocked process
 	fn     Handler // body to run on next resume; cleared once started
 	pid    int64   // spawn sequence number; orders stalled-process releases
+	// sight backs this process's latest Look snapshot. Look rewinds and
+	// refills it, so it is sized by the largest single Look, not by the
+	// run; a pooled Proc keeps it across bodies.
+	sight []Sighting
 }
 
 // errKilled unwinds a process goroutine that the engine terminated while it
@@ -191,7 +195,10 @@ func (p *Proc) Wait(d float64) {
 
 // Snapshot is the result of a Look: the robots visible within distance 1,
 // separated by status, with their *current* positions. For sleeping robots
-// the current position is the initial position p_i.
+// the current position is the initial position p_i. Both slices alias the
+// looking process's sighting buffer: they stay valid across that process's
+// moves, waits and wakes, and until it calls Look again. A caller that needs
+// sightings beyond its next Look copies them out.
 type Snapshot struct {
 	Asleep []Sighting
 	Awake  []Sighting
@@ -205,31 +212,25 @@ type Sighting struct {
 
 // Look performs a discrete snapshot: all robots within metric distance 1 of
 // the caller, in ascending id order. The caller itself is excluded. The
-// engine-level queries below share one scratch buffer (each result is
-// consumed before the next query runs); the returned Snapshot's slices are
-// carved from the engine's run-lifetime sighting slab, so callers may retain
-// them for the rest of the run — they are invalidated only when a pooled
-// engine is Reset for its next job.
+// engine-level queries share one scratch buffer (each result is consumed
+// before the next query runs); the sightings are copied into the process's
+// own buffer, which this Look rewinds, so the previous snapshot of this
+// process is invalidated and no other process's snapshot is touched.
 func (p *Proc) Look() Snapshot {
 	p.eng.looks++
-	var snap Snapshot
-	if ids := p.eng.sleepingWithin(p.r.pos, 1); len(ids) > 0 {
-		snap.Asleep = p.eng.sight.Take(len(ids))
-		for _, id := range ids {
-			snap.Asleep = append(snap.Asleep, Sighting{ID: id, Pos: p.eng.Robot(id).pos})
+	buf := p.sight[:0]
+	for _, id := range p.eng.sleepingWithin(p.r.pos, 1) {
+		buf = append(buf, Sighting{ID: id, Pos: p.eng.Robot(id).pos})
+	}
+	nAsleep := len(buf)
+	for _, id := range p.eng.awakeWithin(p.r.pos, 1) {
+		if id != p.r.id {
+			buf = append(buf, Sighting{ID: id, Pos: p.eng.Robot(id).pos})
 		}
 	}
-	if ids := p.eng.awakeWithin(p.r.pos, 1); len(ids) > 0 {
-		snap.Awake = p.eng.sight.Take(len(ids) - 1)
-		for _, id := range ids {
-			if id == p.r.id {
-				continue
-			}
-			snap.Awake = append(snap.Awake, Sighting{ID: id, Pos: p.eng.Robot(id).pos})
-		}
-	}
+	p.sight = buf
 	p.eng.emit(Event{T: p.eng.now, Robot: p.r.id, Kind: "look", Pos: p.r.pos})
-	return snap
+	return Snapshot{Asleep: buf[:nAsleep:nAsleep], Awake: buf[nAsleep:len(buf):len(buf)]}
 }
 
 // Wake awakens the co-located sleeping robot id. If handler is non-nil a new

@@ -70,6 +70,56 @@ func TestLookSeesAwake(t *testing.T) {
 	}
 }
 
+// TestLookSnapshotSurvivesOwnYields pins the snapshot lifetime: a snapshot
+// lives in its process's own buffer, so other processes Looking (and waking
+// and moving robots) while the owner is parked leave it untouched.
+func TestLookSnapshotSurvivesOwnYields(t *testing.T) {
+	sleepers := []geom.Point{
+		geom.Pt(0, 0),                    // 1: woken by A, runs process B
+		geom.Pt(0.5, 0), geom.Pt(0, 0.5), // 2, 3: in A's view; B wakes 2
+		geom.Pt(10, 0), geom.Pt(10.5, 0), geom.Pt(10, 0.5), // 4-6: only in B's view
+	}
+	e := NewEngine(Config{Source: geom.Origin, Sleepers: sleepers})
+	var bSaw int
+	e.Spawn(SourceID, func(a *Proc) {
+		a.Wake(1, func(b *Proc) {
+			if err := b.MoveTo(geom.Pt(0.5, 0)); err != nil {
+				t.Errorf("B move: %v", err)
+			}
+			b.Wake(2, nil)
+			b.Look()
+			if err := b.MoveTo(geom.Pt(10, 0)); err != nil {
+				t.Errorf("B move: %v", err)
+			}
+			bSaw = len(b.Look().Asleep)
+		})
+		snap := a.Look()
+		asleep := append([]Sighting(nil), snap.Asleep...)
+		awake := append([]Sighting(nil), snap.Awake...)
+		if len(asleep) != 2 || len(awake) != 1 {
+			t.Errorf("A saw %d asleep, %d awake; want 2, 1", len(asleep), len(awake))
+			return
+		}
+		a.Wait(20)
+		for i, s := range snap.Asleep {
+			if s != asleep[i] {
+				t.Errorf("A's asleep sighting %d became %+v, want %+v", i, s, asleep[i])
+			}
+		}
+		for i, s := range snap.Awake {
+			if s != awake[i] {
+				t.Errorf("A's awake sighting %d became %+v, want %+v", i, s, awake[i])
+			}
+		}
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if bSaw != 3 {
+		t.Errorf("B saw %d sleepers at (10,0), want 3", bSaw)
+	}
+}
+
 func TestWakeRequiresColocation(t *testing.T) {
 	e := NewEngine(Config{Source: geom.Origin, Sleepers: []geom.Point{geom.Pt(2, 0)}})
 	e.Spawn(SourceID, func(p *Proc) {
