@@ -223,6 +223,26 @@ func BenchmarkSim_MoveLookCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkSim_Handoff isolates the simulator's process handoff: one process
+// yields 10 000 times (Wait(1)), so each op is 10 000 coroutine round trips
+// through the event loop with no Look, move or handler work around them.
+func BenchmarkSim_Handoff(b *testing.B) {
+	const yields = 10000
+	b.ReportAllocs()
+	for b.Loop() {
+		e := sim.NewEngine(sim.Config{Source: geom.Origin})
+		e.Spawn(sim.SourceID, func(p *sim.Proc) {
+			for j := 0; j < yields; j++ {
+				p.Wait(1)
+			}
+		})
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*yields), "ns/yield")
+}
+
 func BenchmarkSpatial_Within(b *testing.B) {
 	g := spatial.NewGrid(1)
 	rng := rand.New(rand.NewSource(4))

@@ -110,7 +110,7 @@ func (a *Arena) Reset() {
 }
 
 // closer matches stashed values owning resources beyond memory (an engine's
-// pooled process goroutines); Close releases them.
+// pooled process coroutines); Close releases them.
 type closer interface{ Close() }
 
 // Close releases every stashed value that implements Close and empties the

@@ -141,7 +141,7 @@ func SolveIn(ctx context.Context, m geom.Metric, alg Algorithm, inst *instance.I
 }
 
 // SolveArena is SolveIn running on the worker arena ar: the simulation
-// engine (robot block, spatial indexes, process-goroutine pool, algorithm
+// engine (robot block, spatial indexes, process-coroutine pool, algorithm
 // scratch) is checked out of the arena and reset against inst instead of
 // being rebuilt, so a steady stream of same-shape jobs simulates without
 // allocating. A nil arena degrades to a fresh one-shot engine. The result

@@ -1,7 +1,6 @@
 package dftp
 
 import (
-	"math"
 	"sort"
 
 	"freezetag/internal/explore"
@@ -32,7 +31,7 @@ func gridSlotWork(r float64) float64 { return r*r + 20*r }
 // wake-tree buffers instead of rebuilding them.
 func (AGrid) Install(e *sim.Engine, tup Tuple) *Report {
 	g := sim.ScratchOf(e, "dftp.agrid", func() *gridRun {
-		return &gridRun{reg: make(map[gridKey][]int), rep: &Report{}}
+		return &gridRun{reg: make(map[gridKey]int), rep: &Report{}}
 	})
 	g.reset(e, tup)
 	e.Spawn(sim.SourceID, g.srcFn)
@@ -46,15 +45,18 @@ type gridKey struct {
 
 // gridRun is the shared state of one AGrid execution. On a pooled engine
 // the same gridRun serves every AGrid run of that engine: reset rewinds the
-// per-run state and all the amortized storage (registry value slices, the
-// participant-handler cache, the explore/wake staging buffers) carries over.
+// per-run state and all the amortized storage (the registry map's buckets,
+// the participant-handler cache, the explore/wake staging buffers) carries
+// over.
 type gridRun struct {
 	eng   *sim.Engine
 	rep   *Report
 	r     float64 // square width R = 2ℓ
 	t     float64 // per-square work bound t(ℓ)
 	slotW float64 // slot width t + 3R (√2R travel plus slack)
-	reg   map[gridKey][]int
+	// reg maps each (round, home-square) team to its lowest registered id:
+	// the team leader, the only thing a team is ever asked.
+	reg map[gridKey]int
 
 	// srcFn is the source program; conts[k] is the round-k participant
 	// handler. Both close over g alone — whose fields reset per run — so
@@ -70,11 +72,9 @@ type gridRun struct {
 	targets []wakeup.Target
 }
 
-// reset rewinds the run state for a fresh execution over tup. Registry keys
-// are retained with their value slices truncated: a repeat instance shape
-// touches exactly the same (round, cell) teams, so registration allocates
-// nothing; stale keys from a previous shape are never read (reads are keyed
-// by the current run's home squares).
+// reset rewinds the run state for a fresh execution over tup. Clearing the
+// registry keeps the map's storage, so a repeat instance shape registers its
+// (round, cell) teams without allocating.
 func (g *gridRun) reset(e *sim.Engine, tup Tuple) {
 	g.eng = e
 	g.rep.Misses = g.rep.Misses[:0]
@@ -89,9 +89,7 @@ func (g *gridRun) reset(e *sim.Engine, tup Tuple) {
 	st := e.Metric().Stretch() / e.MinSpeed()
 	g.t = gridSlotWork(g.r) * st
 	g.slotW = g.t + 3*g.r*st
-	for k, v := range g.reg {
-		g.reg[k] = v[:0]
-	}
+	clear(g.reg)
 	if g.srcFn == nil {
 		g.srcFn = func(p *sim.Proc) {
 			s := geom.GridCell(p.Self().Pos(), g.r)
@@ -124,25 +122,23 @@ func (g *gridRun) workDeadline(k, i int) float64 {
 	return g.roundStart(k) + g.slotW*float64(i)
 }
 
-// register adds a participant to its (round, home-square) team and returns
-// nothing; teams are read at work deadlines, strictly after every round-k
-// registration (all wake-ups of round k-1 precede t_k).
+// register adds a participant to its (round, home-square) team, keeping the
+// team's lowest id. Teams are read at work deadlines, strictly after every
+// round-k registration (all wake-ups of round k-1 precede t_k), so the
+// running minimum is the final team leader by then.
 func (g *gridRun) register(k int, s geom.Square, id int) {
 	kx, ky := geom.GridIndex(s.Center, g.r)
 	key := gridKey{k: k, kx: kx, ky: ky}
-	g.reg[key] = append(g.reg[key], id)
+	if leader, ok := g.reg[key]; !ok || id < leader {
+		g.reg[key] = id
+	}
 }
 
+// teamLeader returns the lowest id registered to the (round, home-square)
+// team; the caller has registered, so the team is never empty.
 func (g *gridRun) teamLeader(k int, s geom.Square) int {
 	kx, ky := geom.GridIndex(s.Center, g.r)
-	ids := g.reg[gridKey{k: k, kx: kx, ky: ky}]
-	leader := math.MaxInt32
-	for _, id := range ids {
-		if id < leader {
-			leader = id
-		}
-	}
-	return leader
+	return g.reg[gridKey{k: k, kx: kx, ky: ky}]
 }
 
 // runParticipant is the body run by every robot woken during round k-1:

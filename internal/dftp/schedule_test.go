@@ -42,7 +42,7 @@ func TestGridSlotWindowsCoverWork(t *testing.T) {
 }
 
 func TestGridRegistrationLeader(t *testing.T) {
-	g := &gridRun{r: 2, reg: make(map[gridKey][]int)}
+	g := &gridRun{r: 2, reg: make(map[gridKey]int)}
 	s := geom.GridCell(geom.Pt(0.3, 0.3), 2)
 	g.register(1, s, 7)
 	g.register(1, s, 3)

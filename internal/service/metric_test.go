@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -138,6 +139,17 @@ func TestPortfolioMetricCached(t *testing.T) {
 	}
 }
 
+// releaseOnCleanup returns a function that closes gate at most once and
+// registers it as a cleanup. Called after newTestService, the cleanup runs
+// before Service.Close, so a test that fails while workers still block on
+// gate reports at once instead of hanging in Close.
+func releaseOnCleanup(t *testing.T, gate chan struct{}) func() {
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	return open
+}
+
 // Queue-level admission accounts for race width: a k-entrant race reserves
 // min(k, Workers) effective slots, so a burst of portfolio requests sheds
 // before it can oversubscribe the host — even when a width-blind job count
@@ -145,6 +157,7 @@ func TestPortfolioMetricCached(t *testing.T) {
 func TestRaceWidthAdmissionSheds(t *testing.T) {
 	gate := make(chan struct{})
 	s := newTestService(t, Config{Workers: 2, QueueDepth: 2, preSolve: func() { <-gate }})
+	openGate := releaseOnCleanup(t, gate)
 	// Admission capacity = QueueDepth + Workers = 4 effective slots.
 
 	pfReq := func(seed int64) PortfolioRequest {
@@ -181,7 +194,7 @@ func TestRaceWidthAdmissionSheds(t *testing.T) {
 	}
 	shed := s.Stats().Shed
 
-	close(gate)
+	openGate()
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("admitted race failed: %v", err)
@@ -210,6 +223,7 @@ func TestRaceWidthAdmissionSheds(t *testing.T) {
 func TestWidthOneAdmissionMatchesLegacy(t *testing.T) {
 	gate := make(chan struct{})
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 1, preSolve: func() { <-gate }})
+	openGate := releaseOnCleanup(t, gate)
 	done := make(chan error, 2)
 	for _, seed := range []int64{21, 22} {
 		seed := seed
@@ -228,7 +242,7 @@ func TestWidthOneAdmissionMatchesLegacy(t *testing.T) {
 	if _, err := s.Solve(walkRequest(23)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow got %v, want ErrQueueFull", err)
 	}
-	close(gate)
+	openGate()
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)

@@ -46,6 +46,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 // A context cancelled before RunCtx starts aborts before any dispatch, even
 // with processes both scheduled and parked on barriers.
 func TestRunCtxCancelBeforeStart(t *testing.T) {
+	base := countGoroutines()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := NewEngine(Config{Source: geom.Origin})
@@ -57,11 +58,14 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 	if ran {
 		t.Fatal("process ran under a pre-cancelled context")
 	}
+	checkGoroutines(t, "after cancel before start", base, 0)
 }
 
 // Cancellation unwinds processes parked on barriers too (the parked set, not
-// just the scheduled queue), so no goroutine outlives RunCtx.
+// just the scheduled queue), so no goroutine outlives RunCtx. At the cancel
+// the source is scheduled and robot 1 is parked.
 func TestRunCtxCancelUnwindsBarrier(t *testing.T) {
+	base := countGoroutines()
 	ctx, cancel := context.WithCancel(context.Background())
 	e := NewEngine(Config{Source: geom.Origin, Sleepers: []geom.Point{geom.Pt(0.5, 0)}, Trace: func(ev Event) {
 		if ev.Kind == "barrier" {
@@ -85,6 +89,7 @@ func TestRunCtxCancelUnwindsBarrier(t *testing.T) {
 	if _, err := e.RunCtx(ctx); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
+	checkGoroutines(t, "after cancel mid-run", base, 0)
 }
 
 // A nil context behaves like Run: no polling, runs to completion.

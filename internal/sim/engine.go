@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -65,8 +66,9 @@ type Event struct {
 // Engine is the deterministic discrete-event simulator. Create one with
 // NewEngine, install the source program with Spawn, then call Run.
 //
-// Engine is not safe for concurrent use from outside; internally it enforces
-// a strict handoff so at most one robot process executes at any instant.
+// Engine is not safe for concurrent use from outside; internally it resumes
+// one process coroutine at a time, so at most one robot process executes at
+// any instant.
 type Engine struct {
 	now      float64
 	seq      int64
@@ -80,7 +82,6 @@ type Engine struct {
 	awake    *spatial.Grid // indexes awake robots by id
 
 	pq       eventHeap
-	park     chan parkMsg
 	barriers map[string]*barrier
 	// parked holds every process currently parked indefinitely (barriers,
 	// wait-groups); used for deadlock detection and shutdown.
@@ -108,12 +109,16 @@ type Engine struct {
 	violations  []string
 	running     bool
 
-	// pooled marks an engine owned by a worker arena (NewEngineIn): finished
-	// process goroutines park in procFree for reuse instead of exiting, and
-	// Reset rewinds the engine for the next instance. Directly constructed
-	// engines (NewEngine) keep the one-shot lifecycle: spawn, run, discard.
-	pooled   bool
+	// procFree holds finished process coroutines, suspended until SpawnH
+	// hands them a new body, so a run creates only as many coroutines as it
+	// has processes alive at once.
 	procFree []*Proc
+	// pooled marks an engine owned by a worker arena (NewEngineIn): procFree
+	// survives the run for the next job, and Reset rewinds the engine for
+	// the next instance. Directly constructed engines (NewEngine) keep the
+	// one-shot lifecycle: spawn, run, discard; their idle coroutines end
+	// when the run does.
+	pooled bool
 	// energyBuf backs Result.EnergyByRobot. It is invalidated by Reset,
 	// which is safe because nothing built from a pooled run may outlive its
 	// job.
@@ -155,8 +160,9 @@ func ScratchOf[T any](e *Engine, key string, mk func() T) T {
 	return v
 }
 
+// parkMsg is what a process coroutine yields to the engine: why it stopped
+// running and, for parkYield, when to resume it.
 type parkMsg struct {
-	p    *Proc
 	kind parkKind
 	at   float64
 }
@@ -251,7 +257,6 @@ func newEngine(cfg Config, pooled bool) *Engine {
 		sleeping: spatial.NewGridInCap(metric, 1, n),
 		awake:    spatial.NewGridInCap(metric, 1, n+1),
 		pq:       make(eventHeap, 0, n+2),
-		park:     make(chan parkMsg),
 		barriers: make(map[string]*barrier),
 		parked:   make(map[*Proc]struct{}),
 		trace:    cfg.Trace,
@@ -264,7 +269,7 @@ func newEngine(cfg Config, pooled bool) *Engine {
 // NewEngineIn returns an engine backed by the worker arena a: the first call
 // builds a pooled engine and stashes it; later calls reset that engine
 // against the new configuration, so the whole simulation substrate — robot
-// block, spatial grids, event heap, process goroutines with their Look
+// block, spatial grids, event heap, process coroutines with their Look
 // buffers, algorithm scratch — is reused across the jobs of one worker. A
 // nil arena falls back to a fresh one-shot NewEngine.
 func NewEngineIn(a *arena.Arena, cfg Config) *Engine {
@@ -281,7 +286,7 @@ func NewEngineIn(a *arena.Arena, cfg Config) *Engine {
 }
 
 // engineSlot is the arena stash entry for a pooled engine; the indirection
-// exists so arena.Close can release the engine's idle goroutine pool.
+// exists so arena.Close can release the engine's idle coroutine pool.
 type engineSlot struct{ e *Engine }
 
 func (s *engineSlot) Close() {
@@ -345,7 +350,7 @@ func (e *Engine) populate(cfg Config) {
 // Reset rewinds a pooled engine for a fresh run over cfg, reusing every
 // piece of run-sized storage: the robot block, both spatial grids, the event
 // heap, and all algorithm scratch (values implementing RunScratch are
-// rewound). The idle process-goroutine pool survives, each process keeping
+// rewound). The idle process-coroutine pool survives, each process keeping
 // its Look buffer. Every slice handed out by the previous run (Look
 // snapshots, EnergyByRobot) is invalidated.
 func (e *Engine) Reset(cfg Config) {
@@ -380,9 +385,10 @@ func (e *Engine) Reset(cfg Config) {
 	e.populate(cfg)
 }
 
-// Close terminates the engine's idle pooled goroutines. It is required (and
-// only meaningful) for pooled engines; arena teardown calls it via the
-// stashed engineSlot. The engine must not be run again after Close.
+// Close stops the engine's idle process coroutines. A one-shot engine calls
+// it as its run ends; a pooled engine keeps them across runs until arena
+// teardown calls it via the stashed engineSlot. The engine must not be run
+// again after Close.
 func (e *Engine) Close() {
 	for _, p := range e.procFree {
 		e.kill(p)
@@ -443,9 +449,9 @@ func (f HandlerFunc) RunProc(p *Proc) { f(p) }
 // handlers attached to newly awakened robots.
 func (e *Engine) Spawn(id int, fn func(*Proc)) { e.SpawnH(id, HandlerFunc(fn)) }
 
-// SpawnH is Spawn taking a Handler. On a pooled engine the process record
-// and its goroutine come from the free list when one is idle, so steady-
-// state spawning allocates nothing.
+// SpawnH is Spawn taking a Handler. The process record and its suspended
+// coroutine come from the free list when one is idle, so a pooled engine's
+// steady-state spawning allocates nothing.
 func (e *Engine) SpawnH(id int, h Handler) {
 	r := e.Robot(id)
 	if r.state != Awake || (e.faults != nil && r.stopped) {
@@ -475,8 +481,8 @@ func (e *Engine) SpawnH(id int, h Handler) {
 		p.r = r
 		p.fn = h
 	} else {
-		p = &Proc{eng: e, r: r, resume: make(chan struct{}), fn: h}
-		go p.loop()
+		p = &Proc{eng: e, r: r, fn: h}
+		p.next, p.stop = iter.Pull(p.loop)
 	}
 	p.pid = e.pidSeq
 	e.pidSeq++
@@ -550,7 +556,8 @@ func (e *Engine) Run() (Result, error) { return e.RunCtx(context.Background()) }
 // RunCtx is Run with cooperative cancellation: the context is polled between
 // event dispatches (no robot process is ever interrupted mid-step), and on
 // cancellation every live process is unwound before RunCtx returns, so no
-// goroutine outlives the call. Cancellation is the mechanism the portfolio
+// process coroutine outlives the call (a pooled engine keeps its idle ones
+// for the next job). Cancellation is the mechanism the portfolio
 // racing engine uses to stop losing racers early.
 func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
 	if e.running {
@@ -581,28 +588,28 @@ func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
 		if it.t > e.now {
 			e.now = it.t
 		}
-		it.p.resume <- struct{}{}
-		msg := <-e.park
+		p := it.p
+		// A scheduled coroutine is suspended in yield (only stop ends one),
+		// so next always returns a message.
+		msg, _ := p.next()
 		switch msg.kind {
 		case parkYield:
-			e.push(msg.p, msg.at)
+			e.push(p, msg.at)
 		case parkWait:
 			// Parked indefinitely; the releasing process re-enqueues it.
-			e.parked[msg.p] = struct{}{}
+			e.parked[p] = struct{}{}
 		case parkDone:
-			msg.p.r.procs--
-			e.emit(Event{T: e.now, Robot: msg.p.r.id, Kind: "done", Pos: msg.p.r.pos})
-			if e.pooled {
-				// The goroutine is looping back to wait for its next body;
-				// the record rejoins the free list for the next SpawnH.
-				e.procFree = append(e.procFree, msg.p)
-			}
+			p.r.procs--
+			e.emit(Event{T: e.now, Robot: p.r.id, Kind: "done", Pos: p.r.pos})
+			// The coroutine stays suspended until its next body; the
+			// record rejoins the free list for the next SpawnH.
+			e.procFree = append(e.procFree, p)
 		}
 	}
 	err := cancelErr
 	if err != nil {
 		// Unwind every scheduled process. Each killed process panics with a
-		// sentinel right after resuming, touching no engine state.
+		// sentinel as its yield returns, touching no engine state.
 		for len(e.pq) > 0 {
 			e.kill(e.pq.pop().p)
 		}
@@ -611,22 +618,24 @@ func (e *Engine) RunCtx(ctx context.Context) (Result, error) {
 		if err == nil {
 			err = ErrDeadlock
 		}
-		// Unwind parked goroutines so no process leaks past Run.
+		// Unwind parked coroutines so no process leaks past Run.
 		for p := range e.parked {
 			e.kill(p)
 		}
 		clear(e.parked)
 		clear(e.barriers)
 	}
+	if !e.pooled {
+		// A one-shot engine never runs again.
+		e.Close()
+	}
 	return e.result(), err
 }
 
-// kill unwinds one live process goroutine: the next (forced) resume makes it
-// panic with the errKilled sentinel, recovered by its Spawn wrapper.
-func (e *Engine) kill(p *Proc) {
-	p.killed = true
-	p.resume <- struct{}{}
-}
+// kill unwinds one live process coroutine: stop makes its pending yield
+// return false, so it panics with the errKilled sentinel, recovered by
+// runOne. A coroutine that never started ends without running its body.
+func (e *Engine) kill(p *Proc) { p.stop() }
 
 func (e *Engine) result() Result {
 	if cap(e.energyBuf) < len(e.robots) {

@@ -6,56 +6,49 @@ import (
 	"freezetag/internal/geom"
 )
 
-// Proc is the blocking API one robot process programs against. All methods
-// must be called from the process's own goroutine (the function passed to
-// Spawn or Wake); the engine guarantees only one process runs at a time, so
-// Proc methods may freely read and mutate engine state.
+// Proc is the blocking API one robot process programs against. Each process
+// body runs on its own coroutine (iter.Pull), and all methods must be called
+// from that coroutine (the function passed to Spawn or Wake). The engine
+// resumes one coroutine at a time and waits for it to yield back, so Proc
+// methods may freely read and mutate engine state.
 type Proc struct {
-	eng    *Engine
-	r      *Robot
-	resume chan struct{}
-	killed bool    // set by the engine to unwind a deadlocked process
-	fn     Handler // body to run on next resume; cleared once started
-	pid    int64   // spawn sequence number; orders stalled-process releases
+	eng *Engine
+	r   *Robot
+	// next resumes the coroutine until its next yield; stop unwinds it.
+	// yield, captured by loop, hands control back to the engine.
+	next  func() (parkMsg, bool)
+	stop  func()
+	yield func(parkMsg) bool
+	fn    Handler // body to run on next resume; cleared once started
+	pid   int64   // spawn sequence number; orders stalled-process releases
 	// sight backs this process's latest Look snapshot. Look rewinds and
 	// refills it, so it is sized by the largest single Look, not by the
-	// run; a pooled Proc keeps it across bodies.
+	// run; a recycled Proc keeps it across bodies.
 	sight []Sighting
 }
 
-// errKilled unwinds a process goroutine that the engine terminated while it
-// was parked: either on a barrier that can never release (deadlock shutdown
+// errKilled unwinds a process coroutine that the engine stopped while it was
+// suspended: either on a barrier that can never release (deadlock shutdown
 // path) or anywhere at all after the run's context was cancelled (RunCtx).
 var errKilled = &struct{ s string }{"sim: process killed"}
 
-// loop is the process goroutine. On a pooled engine it survives the body:
-// after reporting parkDone it waits for the engine to hand it a new body via
-// SpawnH (the engine recycles the record through procFree). On a one-shot
-// engine it exits after a single body, preserving the original lifecycle. A
-// kill — before the body ever ran or anywhere inside it — always exits the
-// goroutine: a killed process's state is unknown, so it never rejoins the
+// loop is the process coroutine's sequence function. It survives the body:
+// it yields parkDone and stays suspended until the engine hands it a new
+// body via SpawnH (the record is recycled through procFree). A stop — before
+// the body ever ran, inside it, or while idle in the pool — ends the
+// coroutine: a killed process's state is unknown, so it never rejoins the
 // pool.
-func (p *Proc) loop() {
-	for {
-		<-p.resume
-		if p.killed {
-			return
-		}
-		p.runOne()
-		if p.killed {
-			return
-		}
-		p.eng.park <- parkMsg{p: p, kind: parkDone}
-		if !p.eng.pooled {
-			return
-		}
+func (p *Proc) loop(yield func(parkMsg) bool) {
+	p.yield = yield
+	for p.runOne() && yield(parkMsg{kind: parkDone}) {
 	}
 }
 
-// runOne executes the pending body, converting the errKilled unwind panic
-// back into a normal return (the caller checks p.killed); any other panic is
-// a genuine algorithm bug and propagates.
-func (p *Proc) runOne() {
+// runOne executes the pending body and reports whether it finished normally.
+// The errKilled unwind panic is converted into a false return; any other
+// panic is a genuine algorithm bug and propagates, through next, to the
+// goroutine running the engine.
+func (p *Proc) runOne() (finished bool) {
 	defer func() {
 		if rec := recover(); rec != nil && rec != errKilled {
 			panic(rec)
@@ -64,6 +57,7 @@ func (p *Proc) runOne() {
 	fn := p.fn
 	p.fn = nil
 	fn.RunProc(p)
+	return true
 }
 
 // ID returns the robot id this process runs on.
@@ -78,31 +72,21 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // Engine returns the owning engine, for read-only queries by harness code.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// yieldAt parks the process until virtual time t. A process the engine has
-// killed (cancelled run) unwinds here instead of parking: the engine's event
-// loop is gone, so parking again would block forever.
-func (p *Proc) yieldAt(t float64) {
-	if p.killed {
-		panic(errKilled)
-	}
-	p.eng.park <- parkMsg{p: p, kind: parkYield, at: t}
-	<-p.resume
-	if p.killed {
+// suspend yields m to the engine and returns when the engine resumes this
+// process. A process the engine has stopped (deadlock shutdown or cancelled
+// run) unwinds here: yield returns false, now and on every later call.
+func (p *Proc) suspend(m parkMsg) {
+	if !p.yield(m) {
 		panic(errKilled)
 	}
 }
 
-// parkWait parks the process indefinitely; some other process re-enqueues it.
-func (p *Proc) parkWait() {
-	if p.killed {
-		panic(errKilled)
-	}
-	p.eng.park <- parkMsg{p: p, kind: parkWait}
-	<-p.resume
-	if p.killed {
-		panic(errKilled)
-	}
-}
+// yieldAt suspends the process until virtual time t.
+func (p *Proc) yieldAt(t float64) { p.suspend(parkMsg{kind: parkYield, at: t}) }
+
+// parkWait suspends the process indefinitely; some other process re-enqueues
+// it.
+func (p *Proc) parkWait() { p.suspend(parkMsg{kind: parkWait}) }
 
 // ErrBudget is the error type reported when a move would exceed the robot's
 // energy budget. The robot is halted in place with its budget exhausted up to

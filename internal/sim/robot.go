@@ -1,12 +1,14 @@
 // Package sim implements the paper's Look-Compute-Move robot model as a
 // deterministic discrete-event simulator.
 //
-// Each active robot is a goroutine ("process") executing straight-line
-// algorithm code against a blocking API (MoveTo, Look, Wake, WaitUntil,
-// Barrier). A strict-handoff scheduler runs exactly one process at a time and
-// orders resumptions by (virtual time, monotone sequence number), so
-// identical inputs always produce identical executions — goroutines give the
-// programming model of concurrent robots without nondeterminism.
+// Each active robot is a coroutine ("process", built with iter.Pull)
+// executing straight-line algorithm code against a blocking API (MoveTo,
+// Look, Wake, WaitUntil, Barrier). The event loop resumes exactly one process
+// at a time, in (virtual time, monotone sequence number) order, and the
+// process runs until it yields back, so identical inputs always produce
+// identical executions — coroutines give the programming model of concurrent
+// robots without nondeterminism, and a handoff costs a coroutine switch
+// rather than a scheduler wake.
 //
 // Model facts enforced here, matching §1.2 of the paper:
 //   - robots move at unit speed by default (moving distance δ takes time
